@@ -10,17 +10,33 @@ package mem
 // Semantics are exactly those of the maps it replaces: size() counts
 // every stored entry (including fills whose ready cycle has passed but
 // that have not been deleted yet — the capacity-stall check deliberately
-// counts those, matching the original len(map) test), minReady() scans
-// all stored entries, and gc() deletes entries with ready <= cutoff.
-// Every consumer is order-independent (min, predicate delete, sorted
-// capture), so swapping the map's random iteration order for the table's
-// slot order cannot change any simulated cycle or digest.
+// counts those, matching the original len(map) test), minReady() is the
+// minimum ready cycle over those same stored entries, and gc() deletes
+// entries with ready <= cutoff. Every consumer is order-independent (min,
+// predicate delete, sorted capture), so swapping the map's random
+// iteration order for the table's slot order cannot change any simulated
+// cycle or digest.
+//
+// The minimum is cached, not scanned per call. While minValid is set,
+// min equals the smallest ready cycle over all stored entries (fillNoReady
+// when there are none). set lowers it in place. It goes stale — minValid
+// cleared — only when del removes, or set raises, an entry whose ready
+// cycle equals the cached minimum; minReady then rescans once. gc, rehash
+// and reset rebuild it during the pass they already make over the slots,
+// so the capacity-stall check costs O(1) on the common path.
 type fillTable struct {
-	keys  []uint64
-	ready []int64
-	state []uint8 // slot states: fillEmpty, fillLive, fillDead
-	live  int     // stored entries
-	used  int     // live + tombstones (probe-chain occupancy)
+	keys     []uint64
+	ready    []int64
+	state    []uint8 // slot states: fillEmpty, fillLive, fillDead
+	live     int     // stored entries
+	used     int     // live + tombstones (probe-chain occupancy)
+	min      int64   // cached minimum ready cycle; meaningful only if minValid
+	minValid bool
+
+	// Slot arrays retired by the last rehash, reused by the next one.
+	spareKeys  []uint64
+	spareReady []int64
+	spareState []uint8
 }
 
 const (
@@ -45,6 +61,7 @@ func (t *fillTable) initTable(mshrs int) {
 	t.state = make([]uint8, capacity)
 	t.live = 0
 	t.used = 0
+	t.min, t.minValid = fillNoReady, true
 }
 
 func fillHash(g uint64) uint64 {
@@ -82,6 +99,9 @@ func (t *fillTable) del(g uint64) {
 			if t.keys[i] == g {
 				t.state[i] = fillDead
 				t.live--
+				if t.ready[i] == t.min {
+					t.minValid = false
+				}
 				return
 			}
 		}
@@ -115,9 +135,17 @@ func (t *fillTable) set(g uint64, ready int64) {
 			t.ready[i] = ready
 			t.state[i] = fillLive
 			t.live++
+			if ready < t.min {
+				t.min = ready
+			}
 			return
 		case fillLive:
 			if t.keys[i] == g {
+				if ready < t.min {
+					t.min = ready
+				} else if t.ready[i] == t.min && ready > t.min {
+					t.minValid = false
+				}
 				t.ready[i] = ready
 				return
 			}
@@ -129,13 +157,24 @@ func (t *fillTable) set(g uint64, ready int64) {
 	}
 }
 
+// rehash rebuilds the table at newCap slots, dropping tombstones. The
+// previous slot arrays are kept as the spare set, and a rehash at an
+// unchanged capacity (the common, tombstone-clearing case) reuses them,
+// so steady-state churn allocates nothing.
 func (t *fillTable) rehash(newCap int) {
 	oldKeys, oldReady, oldState := t.keys, t.ready, t.state
-	t.keys = make([]uint64, newCap)
-	t.ready = make([]int64, newCap)
-	t.state = make([]uint8, newCap)
+	if len(t.spareState) == newCap {
+		t.keys, t.ready, t.state = t.spareKeys, t.spareReady, t.spareState
+		clear(t.state)
+	} else {
+		t.keys = make([]uint64, newCap)
+		t.ready = make([]int64, newCap)
+		t.state = make([]uint8, newCap)
+	}
+	t.spareKeys, t.spareReady, t.spareState = oldKeys, oldReady, oldState
 	t.live = 0
 	t.used = 0
+	t.min, t.minValid = fillNoReady, true
 	for i, st := range oldState {
 		if st == fillLive {
 			t.set(oldKeys[i], oldReady[i])
@@ -144,27 +183,38 @@ func (t *fillTable) rehash(newCap int) {
 }
 
 // minReady returns the earliest ready cycle over all stored entries, or
-// fillNoReady when the table is empty. This is the capacity-stall scan:
+// fillNoReady when the table is empty. This is the capacity-stall query:
 // a full MSHR file stalls the requester behind the earliest completing
-// fill.
+// fill. It rescans only when the cached minimum has gone stale.
 func (t *fillTable) minReady() int64 {
-	earliest := fillNoReady
-	for i, st := range t.state {
-		if st == fillLive && t.ready[i] < earliest {
-			earliest = t.ready[i]
+	if !t.minValid {
+		earliest := fillNoReady
+		for i, st := range t.state {
+			if st == fillLive && t.ready[i] < earliest {
+				earliest = t.ready[i]
+			}
 		}
+		t.min, t.minValid = earliest, true
 	}
-	return earliest
+	return t.min
 }
 
-// gc deletes every entry whose fill completed at or before cutoff.
+// gc deletes every entry whose fill completed at or before cutoff and
+// rebuilds the cached minimum from the survivors in the same pass.
 func (t *fillTable) gc(cutoff int64) {
+	earliest := fillNoReady
 	for i, st := range t.state {
-		if st == fillLive && t.ready[i] <= cutoff {
+		if st != fillLive {
+			continue
+		}
+		if r := t.ready[i]; r <= cutoff {
 			t.state[i] = fillDead
 			t.live--
+		} else if r < earliest {
+			earliest = r
 		}
 	}
+	t.min, t.minValid = earliest, true
 }
 
 // reset drops all entries but keeps the allocation.
@@ -174,4 +224,5 @@ func (t *fillTable) reset() {
 	}
 	t.live = 0
 	t.used = 0
+	t.min, t.minValid = fillNoReady, true
 }

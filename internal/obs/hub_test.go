@@ -267,8 +267,11 @@ func TestIntervalSeriesPublishChurn(t *testing.T) {
 		}})
 	}
 	close(done)
-	churn.Wait()
+	// Close before waiting: a churner that subscribed after the last
+	// Publish has nothing left to drop it, and ranges until the hub
+	// closes its channel.
 	hub.Close()
+	churn.Wait()
 
 	if len(series.Samples) != n {
 		t.Fatalf("buffered series has %d samples, want %d", len(series.Samples), n)

@@ -893,29 +893,35 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 // shared-memory access: 32 banks of 4-byte words; lanes touching distinct
 // words in the same bank serialize, lanes touching the same word
 // broadcast. Accesses without offsets are modeled conflict-free.
+//
+// It runs on the issue path, so it works in fixed stack buffers and never
+// allocates. That relies on an invariant AddStream establishes through
+// trace.Kernel.Validate: len(in.Addrs) equals the number of active lanes
+// in the uint32 mask, so at most 32 offsets arrive, at most 32 distinct
+// words are kept, and no per-bank count exceeds 32.
 func sharedConflictDegree(in *trace.Inst) int {
-	if len(in.Addrs) == 0 {
-		return 1
-	}
 	const banks = 32
-	var words [banks][]uint64
-	degree := 1
+	var words [banks]uint64 // distinct words seen, in first-touch order
+	var perBank [banks]uint8
+	n, degree := 0, 1
+next:
 	for _, off := range in.Addrs {
 		word := off / 4
 		b := word % banks
-		dup := false
-		for _, wd := range words[b] {
-			if wd == word {
-				dup = true
-				break
+		// A repeated word maps to a bank already counted, so only then
+		// can it be a broadcast duplicate.
+		if perBank[b] != 0 {
+			for _, wd := range words[:n] {
+				if wd == word {
+					continue next
+				}
 			}
 		}
-		if dup {
-			continue
-		}
-		words[b] = append(words[b], word)
-		if len(words[b]) > degree {
-			degree = len(words[b])
+		words[n] = word
+		n++
+		perBank[b]++
+		if int(perBank[b]) > degree {
+			degree = int(perBank[b])
 		}
 	}
 	return degree
