@@ -91,7 +91,7 @@ type Job struct {
 	// Computes adds further compute workloads as additional tasks
 	// (2, 3, …) — the more-than-two-workloads extension the paper's
 	// limitation section describes. Every policy generalizes to n tasks
-	// (the pairwise implementations stay in force at n ≤ 2).
+	// (see BuildPolicy).
 	Computes []*compute.Workload
 	// Tenants, when non-empty, replaces Graphics/Compute/Computes with an
 	// N-tenant scenario mix: tenant i is task i and owns stream range
@@ -269,14 +269,14 @@ func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	res := &Result{Policy: j.Policy}
-	pol, ws, err := BuildPolicyWS(g, j.Policy, totalTasks)
+	pol, err := BuildPolicy(g, j.Policy, totalTasks)
 	if err != nil {
 		return nil, err
 	}
 	if pol != nil {
 		g.SetPolicy(pol)
 	}
-	res.WS = ws
+	res.WS, _ = pol.(*partition.WarpedSlicer)
 	return j.runOn(ctx, g, res)
 }
 
@@ -455,61 +455,36 @@ func renumber(kernels []*trace.Kernel, id int) []*trace.Kernel {
 }
 
 // BuildPolicy constructs the named partitioning policy for a GPU hosting
-// totalTasks tasks (nil for PolicySerial). Every policy generalizes to n
-// tasks: at n ≤ 2 the original pairwise implementations run (bit-identical
-// to the paper's studies), beyond that the n-way variants take over.
+// totalTasks tasks (nil for PolicySerial). One implementation per mechanism
+// serves every task count, built for n = max(totalTasks, 2) tasks: the pair
+// shape reserves tasks 0 and 1 even when one side is empty, and at n = 2
+// each policy is the paper's pairwise mechanism under its pairwise name.
+// WarpedSlicer is the one mechanism with two algorithms: the paper's
+// exhaustive two-task split search at up to two tasks, and the greedy
+// n-way water-fill beyond.
 func BuildPolicy(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, error) {
-	p, _, err := BuildPolicyWS(g, kind, totalTasks)
-	return p, err
-}
-
-// BuildPolicyWS is BuildPolicy, additionally returning the warped-slicer
-// instance when that policy was selected (its sampling state is part of
-// the Fig. 13 experiment).
-func BuildPolicyWS(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, *partition.WarpedSlicer, error) {
 	cfg := g.Config()
+	n := max(totalTasks, 2)
 	switch kind {
 	case PolicySerial, "":
-		return nil, nil, nil
+		return nil, nil
 	case PolicyMPS:
-		if totalTasks <= 2 {
-			return partition.NewMPS(cfg.NumSMs), nil, nil
-		}
-		p, err := partition.NewSMGroups(cfg.NumSMs, totalTasks)
-		return p, nil, err
+		return partition.NewSMGroups(cfg.NumSMs, n)
 	case PolicyMiG:
-		if totalTasks <= 2 {
-			return partition.NewMiG(g, TaskOf), nil, nil
-		}
-		p, err := partition.NewMiGN(g, TaskOf, totalTasks)
-		return p, nil, err
+		return partition.NewMiGN(g, TaskOf, n)
 	case PolicyEven:
-		if totalTasks <= 2 {
-			return partition.NewFGEven(g), nil, nil
-		}
-		p, err := partition.NewFGN(g, totalTasks)
-		return p, nil, err
+		return partition.NewFGN(g, n)
 	case PolicyWarpedSlicer:
-		if totalTasks <= 2 {
-			ws := partition.NewWarpedSlicer(g)
-			return ws, ws, nil
+		if n == 2 {
+			return partition.NewWarpedSlicer(g), nil
 		}
-		p, err := partition.NewWarpedSlicerN(g, totalTasks)
-		return p, nil, err
+		return partition.NewWarpedSlicerN(g, n)
 	case PolicyTAP:
-		if totalTasks <= 2 {
-			return partition.NewTAP(g, TaskOf), nil, nil
-		}
-		p, err := partition.NewTAPN(g, TaskOf, totalTasks)
-		return p, nil, err
+		return partition.NewTAPN(g, TaskOf, n)
 	case PolicyPriority:
-		if totalTasks <= 2 {
-			return partition.NewPriorityEven(g), nil, nil
-		}
-		p, err := partition.NewPriorityEvenN(g, totalTasks)
-		return p, nil, err
+		return partition.NewPriorityEvenN(g, n)
 	}
-	return nil, nil, fmt.Errorf("core: unknown policy %q", kind)
+	return nil, fmt.Errorf("core: unknown policy %q", kind)
 }
 
 // RenderScene renders a named scene workload with the given options,

@@ -9,11 +9,12 @@ import (
 )
 
 // The paper's limitation section notes the framework "can be easily
-// extended to support more than 2 workloads"; these policies provide that
-// extension: n-way inter-SM grouping (SMGroups, the MPS generalization)
-// and n-way intra-SM splitting (FGN, the EVEN generalization).
+// extended to support more than 2 workloads"; these policies are MPS and
+// EVEN for n tasks: n-way inter-SM grouping (SMGroups) and n-way intra-SM
+// splitting (FGN).
 
-// SMGroups assigns contiguous, near-equal SM groups to n tasks.
+// SMGroups assigns contiguous, near-equal SM groups to n tasks; the
+// remainder of an uneven split goes to the lowest task ids.
 type SMGroups struct {
 	numSMs int
 	tasks  int
@@ -28,7 +29,7 @@ func NewSMGroups(numSMs, tasks int) (*SMGroups, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *SMGroups) Name() string { return fmt.Sprintf("MPSx%d", p.tasks) }
+func (p *SMGroups) Name() string { return policyName("MPS", p.tasks) }
 
 // AllowSM implements gpu.Policy.
 func (p *SMGroups) AllowSM(smID, task int) bool {
@@ -63,7 +64,7 @@ func NewFGN(g *gpu.GPU, tasks int) (*FGN, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *FGN) Name() string { return fmt.Sprintf("EVENx%d", p.tasks) }
+func (p *FGN) Name() string { return policyName("EVEN", p.tasks) }
 
 // AllowSM implements gpu.Policy.
 func (p *FGN) AllowSM(smID, task int) bool { return task >= 0 && task < p.tasks }
@@ -82,25 +83,5 @@ func (p *FGN) OnLaunch(now int64, k *trace.Kernel, task int) {}
 // Tick implements gpu.Policy.
 func (p *FGN) Tick(now int64) {}
 
-// PriorityEven is the QoS-aware variant of intra-SM sharing the paper's
-// future work points toward: resources split evenly, but the rendering
-// task's pending CTAs claim freed resources first, protecting the frame
-// deadline while compute soaks up the remainder.
-type PriorityEven struct {
-	FG
-}
-
-// NewPriorityEven builds the QoS policy for g.
-func NewPriorityEven(g *gpu.GPU) *PriorityEven {
-	p := &PriorityEven{FG: *NewFGEven(g)}
-	p.FG.label = "PriorityEven"
-	return p
-}
-
-// Priority implements gpu.Prioritizer: graphics (task 0) first.
-func (p *PriorityEven) Priority(task int) int { return -task }
-
 var _ gpu.Policy = (*SMGroups)(nil)
 var _ gpu.Policy = (*FGN)(nil)
-var _ gpu.Policy = (*PriorityEven)(nil)
-var _ gpu.Prioritizer = (*PriorityEven)(nil)

@@ -70,7 +70,10 @@ func TestFGNSplitsEvenly(t *testing.T) {
 
 func TestPriorityEvenOrdering(t *testing.T) {
 	g := newGPU(t, config.JetsonOrin())
-	p := NewPriorityEven(g)
+	p, err := NewPriorityEvenN(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Priority(0) <= p.Priority(1) {
 		t.Error("graphics must outrank compute")
 	}

@@ -13,9 +13,8 @@ import (
 	"crisp/internal/trace"
 )
 
-// This file promotes the remaining two-task policies to n tasks for the
-// scenario engine's N-tenant mixes, on top of the SMGroups/FGN primitives
-// in ntask.go:
+// This file holds the remaining mechanisms for n tasks, on top of the
+// SMGroups/FGN primitives in ntask.go:
 //
 //   - MiGN:          SM groups plus an n-way L2 bank (and thus DRAM
 //     channel) split.
@@ -24,7 +23,8 @@ import (
 //   - TAPN:          SM groups plus utility-monitor-driven n-way L2 set
 //     partitioning with the TLP-aware insensitivity clamp.
 //   - WarpedSlicerN: n-way sampling of the IPC-vs-CTA-count curves and a
-//     greedy water-fill over the per-task CTA caps.
+//     greedy water-fill over the per-task CTA caps (beyond two tasks;
+//     the paper's two-task WarpedSlicer is in warpedslicer.go).
 //
 // Every decision procedure iterates tasks in ascending id with explicit
 // tie-breaks (lowest task wins), so the policies are deterministic under
@@ -58,12 +58,12 @@ func NewMiGN(g *gpu.GPU, taskOf func(stream int) int, tasks int) (*MiGN, error) 
 }
 
 // Name implements gpu.Policy.
-func (p *MiGN) Name() string { return fmt.Sprintf("MiGx%d", p.tasks) }
+func (p *MiGN) Name() string { return policyName("MiG", p.tasks) }
 
-// PriorityEvenN is the n-way generalization of PriorityEven: every task
-// runs on every SM within a 1/n envelope, and pending CTAs of
-// lower-numbered tasks claim freed resources first. Tenant-declared
-// priorities (gpu.SetTaskPriorities) override this default ordering.
+// PriorityEvenN is QoS-aware intra-SM sharing: every task runs on every SM
+// within a 1/n envelope, and pending CTAs of lower-numbered tasks (in a
+// pair, rendering) claim freed resources first. Tenant-declared priorities
+// (gpu.SetTaskPriorities) override this default ordering.
 type PriorityEvenN struct {
 	FGN
 }
@@ -78,16 +78,16 @@ func NewPriorityEvenN(g *gpu.GPU, tasks int) (*PriorityEvenN, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *PriorityEvenN) Name() string { return fmt.Sprintf("PriorityEvenx%d", p.tasks) }
+func (p *PriorityEvenN) Name() string { return policyName("PriorityEven", p.tasks) }
 
 // Priority implements gpu.Prioritizer: lower task ids first.
 func (p *PriorityEvenN) Priority(task int) int { return -task }
 
-// TAPN is n-way TAP: contiguous SM groups, one utility monitor per task,
-// and an n-region L2 set split re-decided at long epochs by marginal
-// utility with the TLP-aware clamp (tasks whose access stream shows no
-// reuse are squeezed to the minimum so cache-sensitive tasks keep the
-// capacity).
+// TAPN is TAP (Lee & Kim) for n tasks: contiguous SM groups, one utility
+// monitor per task, and an n-region L2 set split re-decided at long epochs
+// by marginal utility with the TLP-aware clamp (tasks whose access stream
+// shows no reuse are squeezed to the minimum so cache-sensitive tasks keep
+// the capacity).
 type TAPN struct {
 	SMGroups
 	g      *gpu.GPU
@@ -128,7 +128,7 @@ func NewTAPN(g *gpu.GPU, taskOf func(stream int) int, tasks int) (*TAPN, error) 
 }
 
 // Name implements gpu.Policy.
-func (t *TAPN) Name() string { return fmt.Sprintf("TAPx%d", t.tasks) }
+func (t *TAPN) Name() string { return policyName("TAP", t.tasks) }
 
 // Regions reports the current set split.
 func (t *TAPN) Regions() map[int]mem.SetRegion { return t.mapper.Regions }
@@ -166,9 +166,8 @@ func regionsFor(sets []int) map[int]mem.SetRegion {
 	return regions
 }
 
-// Tick implements gpu.Policy: the same epoch cadence as pairwise TAP —
-// decide once after the warmup window, then re-evaluate only at long
-// intervals (a set remap is an effective flush).
+// Tick implements gpu.Policy: decide once after the warmup window, then
+// re-evaluate only at long intervals (a set remap is an effective flush).
 func (t *TAPN) Tick(now int64) {
 	t.epochs++
 	if t.epochs > 1 && t.epochs < 32 {
@@ -186,9 +185,9 @@ func (t *TAPN) Tick(now int64) {
 	}
 	assoc := len(t.umons[0].WayHits)
 
-	// TLP-aware classification, as in pairwise TAP: "active" means a
-	// non-negligible share of the L2 access stream, "sensitive" means the
-	// shadow tags show real reuse.
+	// TLP-aware classification: "active" means a non-negligible share of
+	// the L2 access stream, "sensitive" means the shadow tags show real
+	// reuse.
 	active := make([]bool, t.tasks)
 	sensitive := make([]bool, t.tasks)
 	activeCount, sensCount := 0, 0
@@ -254,9 +253,11 @@ func (t *TAPN) Tick(now int64) {
 
 // sensitiveSplit fills sets for the ≥2-sensitive case: assoc ways are
 // granted greedily by access-rate-normalized marginal utility across the
-// active tasks, then the available sets are split proportionally to
-// (ways+1) with a per-active floor of half an even share — the n-way
-// analog of pairwise TAP's quarter clamp.
+// active tasks (TAP's hit-rate comparison, not raw hit counts). Two tasks
+// then follow the paper's rule: task 0 gets its share of the ways, in
+// 1/256 steps, clamped to [1/4, 3/4] of the bank. Beyond two, the
+// available sets are split proportionally to (ways+1) with a per-active
+// floor of half an even share.
 func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, assoc int) {
 	ways := make([]int, t.tasks)
 	for w := 0; w < assoc; w++ {
@@ -265,12 +266,20 @@ func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, ass
 			if !active[i] {
 				continue
 			}
-			mu := float64(u.MarginalUtility(ways[i]+1)) / float64(max64(u.Accesses, 1))
+			mu := float64(u.MarginalUtility(ways[i]+1)) / float64(max(u.Accesses, 1))
 			if mu > bestScore {
 				bestScore, best = mu, i
 			}
 		}
 		ways[best]++
+	}
+	if t.tasks == 2 {
+		quarter := t.setsPerBank / 4
+		sets[0] = t.setsPerBank * (ways[0] * 256 / assoc) / 256
+		sets[0] = min(max(sets[0], quarter), t.setsPerBank-quarter)
+		sets[0] = min(max(sets[0], t.minSets), t.setsPerBank-t.minSets)
+		sets[1] = t.setsPerBank - sets[0]
+		return
 	}
 	weightSum := 0
 	for i := range ways {
@@ -325,6 +334,13 @@ func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, ass
 	}
 }
 
+// tapRegion is one task's set region, keyed for sorting.
+type tapRegion struct {
+	Task  int
+	Start int
+	Count int
+}
+
 // tapNBlob is TAPN's serialized dynamic state.
 type tapNBlob struct {
 	Epochs  int
@@ -349,20 +365,20 @@ func (t *TAPN) CaptureState() ([]byte, error) {
 func (t *TAPN) RestoreState(blob []byte) error {
 	var b tapNBlob
 	if err := json.Unmarshal(blob, &b); err != nil {
-		return policyErr("TAPN state blob: %v", err)
+		return policyErr("TAP state blob: %v", err)
 	}
 	if len(b.Regions) != t.tasks || len(b.UMons) != t.tasks {
-		return policyErr("TAPN state blob: %d regions / %d umons for %d tasks", len(b.Regions), len(b.UMons), t.tasks)
+		return policyErr("TAP state blob: %d regions / %d umons for %d tasks", len(b.Regions), len(b.UMons), t.tasks)
 	}
 	regions := make(map[int]mem.SetRegion, len(b.Regions))
 	for _, r := range b.Regions {
 		if r.Start < 0 || r.Count < 0 || r.Start+r.Count > t.setsPerBank {
-			return policyErr("TAPN state blob: region task=%d [%d,+%d) outside bank of %d sets", r.Task, r.Start, r.Count, t.setsPerBank)
+			return policyErr("TAP state blob: region task=%d [%d,+%d) outside bank of %d sets", r.Task, r.Start, r.Count, t.setsPerBank)
 		}
 		regions[r.Task] = mem.SetRegion{Start: r.Start, Count: r.Count}
 	}
 	if len(regions) != t.tasks {
-		return policyErr("TAPN state blob: expected %d set regions, got %d", t.tasks, len(regions))
+		return policyErr("TAP state blob: expected %d set regions, got %d", t.tasks, len(regions))
 	}
 	t.epochs = b.Epochs
 	t.mapper.Regions = regions
@@ -455,7 +471,7 @@ func (w *WarpedSlicerN) Limit(smID, task int) (sm.Resources, bool) {
 
 // OnLaunch implements gpu.Policy: every launch resets the partition and
 // re-samples, tracking the component-wise maximum CTA footprint per task
-// (as pairwise does).
+// (as WarpedSlicer does).
 func (w *WarpedSlicerN) OnLaunch(now int64, k *trace.Kernel, task int) {
 	if task >= 0 && task < w.tasks {
 		need := sm.Need(k)

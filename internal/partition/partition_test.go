@@ -22,7 +22,10 @@ func newGPU(t *testing.T, cfg config.GPU) *gpu.GPU {
 func taskOfEvenOdd(stream int) int { return stream % 2 }
 
 func TestMPSSplitsSMsEvenly(t *testing.T) {
-	p := NewMPS(14)
+	p, err := NewSMGroups(14, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c0, c1 := 0, 0
 	for s := 0; s < 14; s++ {
 		if p.AllowSM(s, 0) {
@@ -45,7 +48,10 @@ func TestMPSSplitsSMsEvenly(t *testing.T) {
 
 func TestFGEvenLimits(t *testing.T) {
 	g := newGPU(t, config.JetsonOrin())
-	p := NewFGEven(g)
+	p, err := NewFGN(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := sm.Full(g.Config())
 	for task := 0; task < 2; task++ {
 		if !p.AllowSM(3, task) {
@@ -64,20 +70,11 @@ func TestFGEvenLimits(t *testing.T) {
 	}
 }
 
-func TestFGRatio(t *testing.T) {
-	g := newGPU(t, config.JetsonOrin())
-	p := NewFGRatio(g, 3, 4)
-	l0, _ := p.Limit(0, 0)
-	l1, _ := p.Limit(0, 1)
-	full := sm.Full(g.Config())
-	if l0.Threads != full.Threads*3/4 || l1.Threads != full.Threads/4 {
-		t.Errorf("ratio limits = %d/%d", l0.Threads, l1.Threads)
-	}
-}
-
 func TestMiGInstallsBankMapper(t *testing.T) {
 	g := newGPU(t, config.RTX3070())
-	NewMiG(g, taskOfEvenOdd)
+	if _, err := NewMiGN(g, taskOfEvenOdd, 2); err != nil {
+		t.Fatal(err)
+	}
 	cfg := g.Config()
 	line := uint64(cfg.LineSize)
 	// Drive traffic from both tasks; composition must land in disjoint
@@ -176,9 +173,19 @@ func TestWarpedSlicerEnvelopeRespectsKernelShape(t *testing.T) {
 	}
 }
 
+// newTAP2 builds two-task TAP on g.
+func newTAP2(t *testing.T, g *gpu.GPU) *TAPN {
+	t.Helper()
+	tap, err := NewTAPN(g, taskOfEvenOdd, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tap
+}
+
 func TestTAPRepartitionsTowardCacheSensitiveTask(t *testing.T) {
 	g := newGPU(t, config.RTX3070())
-	tap := NewTAP(g, taskOfEvenOdd)
+	tap := newTAP2(t, g)
 	sets := g.Mem().SetsPerBank()
 
 	// Task 0: cache-friendly reuse of a small line set (same UMON set).
@@ -204,7 +211,7 @@ func TestTAPRepartitionsTowardCacheSensitiveTask(t *testing.T) {
 
 func TestTAPKeepsSMBehaviorOfMPS(t *testing.T) {
 	g := newGPU(t, config.RTX3070())
-	tap := NewTAP(g, taskOfEvenOdd)
+	tap := newTAP2(t, g)
 	n0 := 0
 	for s := 0; s < g.Config().NumSMs; s++ {
 		if tap.AllowSM(s, 0) {
@@ -218,7 +225,7 @@ func TestTAPKeepsSMBehaviorOfMPS(t *testing.T) {
 
 func TestTAPIgnoresTinySample(t *testing.T) {
 	g := newGPU(t, config.RTX3070())
-	tap := NewTAP(g, taskOfEvenOdd)
+	tap := newTAP2(t, g)
 	before := tap.Regions()[0].Count
 	tap.ObserveL2(0, 1, false)
 	tap.Tick(100)
@@ -227,14 +234,100 @@ func TestTAPIgnoresTinySample(t *testing.T) {
 	}
 }
 
+// TestTAPTwoTaskSensitiveSplit pins the paper's two-task rule for the
+// case where both tasks are cache-sensitive: task 0 gets its share of the
+// ways in 1/256 steps, clamped to [1/4, 3/4] of the bank. In the first
+// case the n-way proportional (ways+1) split would give task 0 79 sets,
+// not 80.
+func TestTAPTwoTaskSensitiveSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		hits0, hits1 []int64 // hits at the leading LRU stack depths
+		want0        int
+	}{
+		{name: "proportional", hits0: repeat(100, 10), hits1: repeat(120, 6), want0: 80},
+		{name: "clamped", hits0: repeat(500, 16), hits1: repeat(1000, 1), want0: 96},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGPU(t, config.RTX3070())
+			tap := newTAP2(t, g)
+			sets := g.Mem().SetsPerBank()
+			if sets != 128 || len(tap.umons[0].WayHits) != 16 {
+				t.Fatalf("test assumes 128 sets and 16 ways, have %d and %d", sets, len(tap.umons[0].WayHits))
+			}
+			for task, hits := range [][]int64{tc.hits0, tc.hits1} {
+				u := tap.umons[task]
+				u.Accesses = 10000
+				copy(u.WayHits, hits)
+			}
+			tap.Tick(10000)
+			r := tap.Regions()
+			if r[0].Count != tc.want0 || r[1].Count != sets-tc.want0 || r[1].Start != tc.want0 {
+				t.Errorf("regions = %+v, want task 0 = %d sets", r, tc.want0)
+			}
+		})
+	}
+}
+
+func repeat(v int64, n int) []int64 {
+	s := make([]int64, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// TestOddSplitFavorsTaskZero pins the remainder rule of the contiguous
+// splits: with an odd SM count, task 0 gets the extra SM under MPS, MiG
+// and TAP alike.
+func TestOddSplitFavorsTaskZero(t *testing.T) {
+	cfg := config.JetsonOrin()
+	cfg.NumSMs = 7
+	mps, err := NewSMGroups(cfg.NumSMs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mig, err := NewMiGN(newGPU(t, cfg), taskOfEvenOdd, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := newTAP2(t, newGPU(t, cfg))
+	for _, p := range []gpu.Policy{mps, mig, tap} {
+		for s := 0; s < cfg.NumSMs; s++ {
+			want := 0
+			if s >= 4 {
+				want = 1
+			}
+			if !p.AllowSM(s, want) || p.AllowSM(s, 1-want) {
+				t.Errorf("%s: SM %d should belong to task %d only", p.Name(), s, want)
+			}
+		}
+	}
+}
+
+// TestPoliciesHaveNames pins the two-task policy names: they are part of
+// every state digest and checkpoint, so they must stay the paper's names.
 func TestPoliciesHaveNames(t *testing.T) {
 	g := newGPU(t, config.JetsonOrin())
-	ps := []gpu.Policy{NewMPS(14), NewMiG(g, taskOfEvenOdd), NewFGEven(g), NewWarpedSlicer(g), NewTAP(g, taskOfEvenOdd)}
-	seen := map[string]bool{}
-	for _, p := range ps {
-		if p.Name() == "" || seen[p.Name()] {
-			t.Errorf("bad or duplicate policy name %q", p.Name())
+	must := func(p gpu.Policy, err error) gpu.Policy {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[p.Name()] = true
+		return p
+	}
+	for want, p := range map[string]gpu.Policy{
+		"MPS":          must(NewSMGroups(14, 2)),
+		"MiG":          must(NewMiGN(g, taskOfEvenOdd, 2)),
+		"EVEN":         must(NewFGN(g, 2)),
+		"PriorityEven": must(NewPriorityEvenN(g, 2)),
+		"TAP":          must(NewTAPN(g, taskOfEvenOdd, 2)),
+		"WarpedSlicer": NewWarpedSlicer(g),
+		"MPSx3":        must(NewSMGroups(14, 3)),
+		"TAPx4":        must(NewTAPN(g, taskOfEvenOdd, 4)),
+	} {
+		if got := p.Name(); got != want {
+			t.Errorf("policy name = %q, want %q", got, want)
+		}
 	}
 }

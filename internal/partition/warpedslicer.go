@@ -256,3 +256,6 @@ func (w *WarpedSlicer) waterFill(perf [2]map[int]float64) (int, int) {
 	}
 	return bestA, bestB
 }
+
+var _ gpu.Policy = (*WarpedSlicer)(nil)
+var _ gpu.StateSnapshotter = (*WarpedSlicer)(nil)
